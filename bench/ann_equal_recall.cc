@@ -9,9 +9,9 @@
 // 10 B/rec, the quantized store through the fused gather kernels).
 //
 // tools/run_benchmarks.sh invokes this with --out BENCH_ann.json; the
-// host ISA / selected-kernel attribution rides in through the
-// S3VCD_BENCH_HOST_ISA / S3VCD_BENCH_SELECTED_KERNEL environment
-// variables the script exports.
+// host ISA flags ride in through the S3VCD_BENCH_HOST_ISA environment
+// variable the script exports, and the kernel is the one this binary
+// dispatches.
 
 #include <cstdint>
 #include <cstdio>
@@ -267,7 +267,6 @@ int Main(int argc, char** argv) {
       return 1;
     }
     const char* isa = std::getenv("S3VCD_BENCH_HOST_ISA");
-    const char* kernel = std::getenv("S3VCD_BENCH_SELECTED_KERNEL");
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"benchmark\": \"ann_equal_recall\",\n");
     std::fprintf(
@@ -289,8 +288,6 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"host\": {\n");
     std::fprintf(f, "    \"isa_flags\": [%s],\n",
                  JsonEscapeList(isa == nullptr ? "" : isa).c_str());
-    std::fprintf(f, "    \"selected_scan_kernel\": \"%s\",\n",
-                 kernel == nullptr ? "unknown" : kernel);
     std::fprintf(f, "    \"active_gather_kernel\": \"%s\"\n",
                  core::ScanKernelName(core::ActiveScanKernel()));
     std::fprintf(f, "  },\n");

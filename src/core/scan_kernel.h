@@ -27,32 +27,33 @@ namespace s3vcd::core {
 ///
 /// ScanRecords runs a blocked kernel over the structure-of-arrays
 /// DescriptorBlock layout: a strip of packed descriptors at a time,
-/// u8-difference -> i32-accumulate squared distances, through one of four
-/// runtime-dispatched variants (portable scalar, SSE2, AVX2, AVX-512)
-/// selected at startup from CPU features. The integer arithmetic is exact,
-/// so every variant returns bitwise-identical distances (asserted by
-/// tests/scan_kernel_test.cc). When the view carries a quantized codec
-/// (core/descriptor_codec.h) the kernels fuse the integer decode into the
-/// distance accumulation and inflate radius tests by the codec's
-/// reconstruction error bound, so the quantized match set is a superset of
-/// the exact one.
+/// u8-difference -> i32-accumulate squared distances, through one of three
+/// runtime-dispatched variants (portable scalar, SSE2, AVX2) selected at
+/// startup from CPU features: avx2 -> sse2 -> scalar. The integer
+/// arithmetic is exact, so every variant returns bitwise-identical
+/// distances (asserted by tests/scan_kernel_test.cc). When the view
+/// carries the lvq4 codec (core/descriptor_codec.h) the kernels fuse the
+/// integer decode into the distance accumulation and inflate radius tests
+/// by the codec's reconstruction error bound, so the quantized match set
+/// is a superset of the exact one.
 ///
-/// Environment overrides:
-///   S3VCD_SCAN_KERNEL=scalar|sse2|avx2|avx512  pin a specific kernel
-///     (falls back to the widest available one, with a warning, if the
-///     requested kernel cannot run on this CPU/build);
-///   S3VCD_NO_SIMD=1  force the scalar kernel (kept for compatibility;
-///     S3VCD_SCAN_KERNEL wins when both are set).
+/// There is no AVX-512 variant: on 20-byte rows the AVX-512 strip and
+/// gather kernels measured slower than AVX2 (and the exact ones slower
+/// than SSE2), so dispatching by widest ISA picked the slowest SIMD path.
+///
+/// Environment override (the only one):
+///   S3VCD_SCAN_KERNEL=scalar|sse2|avx2  pin a specific kernel (falls
+///     back to detection, with a warning, if the name is unknown or the
+///     requested kernel cannot run on this CPU/build).
 
 /// The available kernel implementations, in dispatch-preference order.
 enum class ScanKernelKind {
   kScalar = 0,  ///< portable reference loop (always available)
   kSse2 = 1,    ///< x86-64 baseline SIMD
   kAvx2 = 2,    ///< 32-byte SIMD, used when the CPU supports it
-  kAvx512 = 3,  ///< 64-byte SIMD (F+BW+VL; VNNI u8-dot when available)
 };
 
-/// Display name of a kernel: "scalar", "sse2", "avx2", "avx512".
+/// Display name of a kernel: "scalar", "sse2", "avx2".
 const char* ScanKernelName(ScanKernelKind kind);
 
 /// The kernel ScanRecords currently dispatches to. Defaults to the widest
@@ -191,8 +192,8 @@ inline void ScanRecords(const fp::Fingerprint& query,
 /// quantized view, the codec tables) once and resolves the dispatched
 /// kernel; each Score() call then computes the exact integer squared
 /// byte-space distances of K arbitrary record indices in a single kernel
-/// call (scalar/SSE2/AVX2/AVX-512 variants, decode fused for lvq8/lvq4
-/// views, software prefetch of the descriptor lines a few gathers ahead).
+/// call (scalar/SSE2/AVX2 variants, decode fused for lvq4 views,
+/// software prefetch of the descriptor lines a few gathers ahead).
 /// The distances are the same integers the strip kernels produce — bitwise
 /// identical across every variant (pinned by tests/scan_kernel_test.cc).
 /// The view's arrays must outlive the scorer; a scorer is cheap enough to

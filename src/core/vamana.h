@@ -140,7 +140,7 @@ class VamanaIndex : public Searcher {
 
   VamanaOptions options_;
   DescriptorBlock block_;        ///< exact storage (exact codec only)
-  CodedDescriptorBlock coded_;   ///< quantized storage (lvq codecs)
+  CodedDescriptorBlock coded_;   ///< quantized storage (lvq4 codec)
   DescriptorView view_;          ///< into block_ or coded_
   double max_error_ = 0;         ///< codec reconstruction bound
   uint32_t digest_ = 0;          ///< CRC of the input records (blob check)

@@ -316,8 +316,10 @@ Status SegmentReader::Init(const std::string& path,
   order_ = static_cast<int>(order);
   count_ = GetU64(header + 16);
   segment_id_ = GetU64(header + 24);
+  // Known tags only; tag 1 is retired and rejected like any unknown tag.
   const uint8_t codec_tag = header[kHeaderCodecOff];
-  if (codec_tag > static_cast<uint8_t>(core::DescriptorCodecKind::kLvq4)) {
+  if (codec_tag != static_cast<uint8_t>(core::DescriptorCodecKind::kExactU8) &&
+      codec_tag != static_cast<uint8_t>(core::DescriptorCodecKind::kLvq4)) {
     return Status::Corruption("segment descriptor codec tag unknown: " +
                               path);
   }

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "core/database.h"
 #include "core/distortion_model.h"
@@ -29,6 +30,7 @@
 #include "core/vamana.h"
 #include "fingerprint/fingerprint.h"
 #include "service/sharded_searcher.h"
+#include "util/io.h"
 #include "util/math.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -462,6 +464,50 @@ TEST(VamanaIndexTest, CorruptGraphBlobTriggersRebuild) {
   }
   const VamanaIndex reloaded(RecordsOf(db), options);
   EXPECT_FALSE(reloaded.loaded_from_blob());
+  std::remove(path.c_str());
+}
+
+// A blob recording codec tag 1 (the retired 8-bit codec) is rebuilt, not
+// decoded: the codec field must equal the index's codec even when the
+// blob's checksum has been resealed around the edited tag.
+TEST(VamanaIndexTest, GraphBlobWithRetiredCodecTagIsRebuilt) {
+  const FingerprintDatabase db = MakeDatabase();
+  const std::string path =
+      ::testing::TempDir() + "/vamana_retired_codec.s3vg";
+  std::remove(path.c_str());
+  VamanaOptions options;
+  options.graph_degree = 8;
+  options.build_beam = 16;
+  options.graph_path = path;
+  { const VamanaIndex built(RecordsOf(db), options); }
+  auto read = ReadFileBytes(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  std::vector<uint8_t> blob = std::move(*read);
+  // magic, version, dims (u32), count (u64), degree bound, medoid, graph
+  // degree, build beam (u32), alpha (f64), seed (u64), then the codec u32.
+  constexpr size_t kCodecOff = 3 * 4 + 8 + 4 * 4 + 8 + 8;
+  const size_t body = blob.size() - 4;  // the trailing whole-blob CRC
+  ASSERT_GT(body, kCodecOff + 4);
+  uint32_t field = 0;
+  std::memcpy(&field, blob.data() + kCodecOff, 4);
+  ASSERT_EQ(field, static_cast<uint32_t>(DescriptorCodecKind::kExactU8));
+  std::memcpy(&field, blob.data() + body, 4);
+  ASSERT_EQ(field, Crc32(blob.data(), body));  // so the reseal is faithful
+  field = 1;
+  std::memcpy(blob.data() + kCodecOff, &field, 4);
+  field = Crc32(blob.data(), body);
+  std::memcpy(blob.data() + body, &field, 4);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(blob.data(), 1, blob.size(), f), blob.size());
+    std::fclose(f);
+  }
+  const VamanaIndex reloaded(RecordsOf(db), options);
+  EXPECT_FALSE(reloaded.loaded_from_blob());
+  // The rebuild re-saved a blob with the right codec, which loads.
+  const VamanaIndex again(RecordsOf(db), options);
+  EXPECT_TRUE(again.loaded_from_blob());
   std::remove(path.c_str());
 }
 

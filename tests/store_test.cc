@@ -152,51 +152,41 @@ TEST(SegmentFormatTest, QuantizedRoundtripDecodesWithinCodecErrorBounds) {
   core::DescriptorBlock block;
   std::vector<BitKey> keys;
   MakeSortedRun(500, 17, 3, &block, &keys);
-  for (const auto codec_kind :
-       {core::DescriptorCodecKind::kLvq8, core::DescriptorCodecKind::kLvq4}) {
-    const std::string path = dir.path() + "/seg-" +
-                             core::DescriptorCodecName(codec_kind) + ".s3seg";
-    SegmentWriteOptions write_options;
-    write_options.codec = codec_kind;
-    ASSERT_TRUE(WriteSegmentFile(path, 7, kOrder, block, keys, write_options)
-                    .ok());
+  const auto codec_kind = core::DescriptorCodecKind::kLvq4;
+  const std::string path = dir.path() + "/seg-lvq4.s3seg";
+  SegmentWriteOptions write_options;
+  write_options.codec = codec_kind;
+  ASSERT_TRUE(
+      WriteSegmentFile(path, 7, kOrder, block, keys, write_options).ok());
 
-    auto reader = SegmentReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    const SegmentReader& seg = **reader;
-    EXPECT_EQ(seg.codec_kind(), codec_kind);
-    EXPECT_EQ(seg.descriptor_code_bytes(),
-              core::DescriptorCodeBytes(codec_kind));
-    const core::DescriptorCodec& codec = seg.codec();
-    if (codec_kind == core::DescriptorCodecKind::kLvq4) {
-      // Wide random u8 axes are lossy under 4-bit codes; lvq8 is lossless
-      // on (near-)full-range axes by construction, so no bound there.
-      EXPECT_GT(codec.max_error, 0.0);
-    }
-    // The scan view routes through the fused decode kernels: narrow rows
-    // plus the trained codec.
-    const core::DescriptorView view = seg.View();
-    EXPECT_EQ(view.desc_bytes, core::DescriptorCodeBytes(codec_kind));
-    ASSERT_NE(view.codec, nullptr);
-    EXPECT_EQ(view.codec->kind, codec_kind);
-    // Every record decodes within the codec's exhaustively computed
-    // per-axis error bound; metadata roundtrips exactly.
-    ASSERT_EQ(seg.size(), block.size());
-    for (size_t i = 0; i < seg.size(); ++i) {
-      const core::FingerprintRecord got = seg.Record(i);
-      const core::FingerprintRecord want = block.Record(i);
-      EXPECT_EQ(got.id, want.id);
-      EXPECT_EQ(got.time_code, want.time_code);
-      for (size_t j = 0; j < fp::kDims; ++j) {
-        EXPECT_LE(std::abs(static_cast<int>(got.descriptor[j]) -
-                           static_cast<int>(want.descriptor[j])),
-                  static_cast<int>(codec.axis_error[j]))
-            << "record " << i << " axis " << j;
-      }
-    }
-    // The 4-bit codec is the 2x byte reduction the quantized store buys.
-    if (codec_kind == core::DescriptorCodecKind::kLvq4) {
-      EXPECT_EQ(seg.descriptor_code_bytes() * 2, fp::kDims);
+  auto reader = SegmentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const SegmentReader& seg = **reader;
+  EXPECT_EQ(seg.codec_kind(), codec_kind);
+  // The 4-bit codec is the 2x byte reduction the quantized store buys.
+  EXPECT_EQ(seg.descriptor_code_bytes() * 2, fp::kDims);
+  const core::DescriptorCodec& codec = seg.codec();
+  // Wide random u8 axes are lossy under 4-bit codes.
+  EXPECT_GT(codec.max_error, 0.0);
+  // The scan view routes through the fused decode kernels: narrow rows
+  // plus the trained codec.
+  const core::DescriptorView view = seg.View();
+  EXPECT_EQ(view.desc_bytes, core::DescriptorCodeBytes(codec_kind));
+  ASSERT_NE(view.codec, nullptr);
+  EXPECT_EQ(view.codec->kind, codec_kind);
+  // Every record decodes within the codec's exhaustively computed per-axis
+  // error bound; metadata roundtrips exactly.
+  ASSERT_EQ(seg.size(), block.size());
+  for (size_t i = 0; i < seg.size(); ++i) {
+    const core::FingerprintRecord got = seg.Record(i);
+    const core::FingerprintRecord want = block.Record(i);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.time_code, want.time_code);
+    for (size_t j = 0; j < fp::kDims; ++j) {
+      EXPECT_LE(std::abs(static_cast<int>(got.descriptor[j]) -
+                         static_cast<int>(want.descriptor[j])),
+                static_cast<int>(codec.axis_error[j]))
+          << "record " << i << " axis " << j;
     }
   }
 }
@@ -236,12 +226,15 @@ class SegmentCorruptionTest : public ::testing::Test {
     ASSERT_GE(bytes_.size(), kSegmentHeaderBytes + kSegmentFooterBytes);
   }
 
-  /// Rewrites the file from `bytes_` and expects Open to report corruption.
-  void ExpectCorrupt(const std::string& what) {
+  /// Rewrites the file from `bytes_` and expects Open to report corruption
+  /// (with `detail` in the message, when given, to pin which check fired).
+  void ExpectCorrupt(const std::string& what, const std::string& detail = "") {
     Dump(path_, bytes_);
     const auto reader = SegmentReader::Open(path_);
     ASSERT_FALSE(reader.ok()) << "accepted " << what;
     EXPECT_EQ(reader.status().code(), StatusCode::kCorruption) << what;
+    EXPECT_NE(reader.status().message().find(detail), std::string::npos)
+        << what << ": " << reader.status().ToString();
   }
 
   uint8_t* footer() { return bytes_.data() + bytes_.size() - kSegmentFooterBytes; }
@@ -389,29 +382,39 @@ TEST_F(SegmentCorruptionTest, ExactSegmentRefusesToDecodeAsLvq4) {
   ExpectCorrupt("exact segment relabeled lvq4");
 }
 
+TEST_F(SegmentCorruptionTest, RetiredCodecTagIsRejected) {
+  // Tag 1 was the lvq8 codec, removed because it cost the exact codec's
+  // 20 B/record; a resealed header carrying it is an unknown tag, not a
+  // decodable segment.
+  bytes_[kHeaderCodecOff] = 1;
+  ResealHeader();
+  ExpectCorrupt("retired codec tag 1", "codec tag unknown");
+}
+
+TEST_F(SegmentCorruptionTest, ParamsSectionLengthMustMatchCodec) {
+  // An exact segment (20 B rows) whose footer claims a 96 B codec-params
+  // section: the row width alone cannot tell codecs apart here, so the
+  // params-section length check must reject it.
+  uint64_t params_length = core::kDescriptorCodecParamsBytes;
+  std::memcpy(footer() + 4 + 6 * 24 + 8, &params_length, 8);
+  ResealFooter();
+  ExpectCorrupt("exact segment claiming codec params",
+                "section length inconsistent");
+}
+
 TEST_F(SegmentCorruptionTest, QuantizedSegmentRefusesToDecodeAsExact) {
-  // lvq8 and exact share the 20 B row width, so this row exercises the
-  // params-section length check instead (96 B present, 0 B expected).
-  WriteWithCodec(core::DescriptorCodecKind::kLvq8);
+  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
   bytes_[kHeaderCodecOff] =
       static_cast<uint8_t>(core::DescriptorCodecKind::kExactU8);
   ResealHeader();
-  ExpectCorrupt("lvq8 segment relabeled exact");
-}
-
-TEST_F(SegmentCorruptionTest, QuantizedSegmentRefusesOtherQuantizedCodec) {
-  WriteWithCodec(core::DescriptorCodecKind::kLvq8);
-  bytes_[kHeaderCodecOff] =
-      static_cast<uint8_t>(core::DescriptorCodecKind::kLvq4);
-  ResealHeader();
-  ExpectCorrupt("lvq8 segment relabeled lvq4");
+  ExpectCorrupt("lvq4 segment relabeled exact", "section length inconsistent");
 }
 
 TEST_F(SegmentCorruptionTest, CorruptCodecParamsAreRejected) {
   // Zero out the trained parameters of a quantized segment (step16 == 0 is
   // structurally invalid) and reseal the section CRC and footer, so the
   // params validation itself fires rather than a checksum.
-  WriteWithCodec(core::DescriptorCodecKind::kLvq8);
+  WriteWithCodec(core::DescriptorCodecKind::kLvq4);
   uint64_t params_offset = 0, params_length = 0;
   std::memcpy(&params_offset, footer() + 4 + 6 * 24, 8);
   std::memcpy(&params_length, footer() + 4 + 6 * 24 + 8, 8);

@@ -2,11 +2,11 @@
 # Runs the refine-kernel micro benchmark (BM_RefineScan: a full seqscan
 # sweep of the shared 200k-record corpus per iteration) and distills the
 # result into a machine-readable BENCH_scan.json: records/sec per scan
-# kernel (scalar / sse2 / avx2 / avx512) plus the SIMD-over-scalar
-# speedup. The scalar leg is a genuinely scalar loop (its TU is built with
+# kernel (scalar / sse2 / avx2) plus the SIMD-over-scalar speedup. The
+# scalar leg is a genuinely scalar loop (its TU is built with
 # auto-vectorization off), so the speedup is kernel work, not compiler
-# luck. The quantized stanza (BM_CodedRefineScan) adds the lvq8/lvq4
-# descriptor codecs: records/sec through the fused decode+distance
+# luck. The quantized stanza (BM_CodedRefineScan) adds the lvq4
+# descriptor codec: records/sec through the fused decode+distance
 # kernels, bytes per stored descriptor, the byte reduction over the exact
 # 20-byte layout, and the recall of the exact match set. The gather stanza
 # (BM_BatchedDistance) adds the graph-traversal distance path: one
@@ -29,10 +29,9 @@
 # descriptor bytes.
 #
 # Every BENCH_*.json carries a "host" object: the machine's x86 SIMD
-# capability flags (from /proc/cpuinfo) and the scan kernel the runtime
-# dispatcher selects on this host (honouring S3VCD_SCAN_KERNEL /
-# S3VCD_NO_SIMD), so archived numbers are attributable to the ISA that
-# produced them.
+# capability flags (from /proc/cpuinfo) and the scan kernel the benchmark
+# binary itself reports it dispatched (honouring S3VCD_SCAN_KERNEL), so
+# archived numbers are attributable to the ISA that produced them.
 #
 # Finally drives the query service through the loadgen ramp (calibrated
 # open loop over a 200k-record database) and writes BENCH_service.json:
@@ -65,9 +64,9 @@ if [[ ! -x "${build_dir}/bench/micro_benchmarks" ]]; then
   cmake --build "${build_dir}" --target micro_benchmarks -j"$(nproc)"
 fi
 
-# Host ISA capabilities and the kernel the runtime dispatcher selects here
-# (mirrors core::DetectKernel: S3VCD_SCAN_KERNEL wins, then S3VCD_NO_SIMD,
-# then the widest available instruction set).
+# Host ISA capabilities. The dispatched kernel is not derived here: each
+# binary reports the one it ran (micro_benchmarks in its JSON context,
+# loadgen and ann_equal_recall in their own output).
 host_isa_flags=""
 for flag in sse2 ssse3 sse4_1 sse4_2 avx avx2 avx512f avx512bw avx512vl avx512vnni; do
   if grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | grep -qw "${flag}"; then
@@ -75,24 +74,8 @@ for flag in sse2 ssse3 sse4_1 sse4_2 avx avx2 avx512f avx512bw avx512vl avx512vn
   fi
 done
 host_isa_flags="${host_isa_flags# }"
-if [[ -n "${S3VCD_SCAN_KERNEL:-}" ]]; then
-  selected_kernel="${S3VCD_SCAN_KERNEL}"
-elif [[ -n "${S3VCD_NO_SIMD:-}" ]]; then
-  selected_kernel="scalar"
-elif [[ " ${host_isa_flags} " == *" avx512f "* && \
-        " ${host_isa_flags} " == *" avx512bw "* && \
-        " ${host_isa_flags} " == *" avx512vl "* ]]; then
-  selected_kernel="avx512"
-elif [[ " ${host_isa_flags} " == *" avx2 "* ]]; then
-  selected_kernel="avx2"
-elif [[ " ${host_isa_flags} " == *" sse2 "* ]]; then
-  selected_kernel="sse2"
-else
-  selected_kernel="scalar"
-fi
 export S3VCD_BENCH_HOST_ISA="${host_isa_flags}"
-export S3VCD_BENCH_SELECTED_KERNEL="${selected_kernel}"
-echo "host ISA: ${host_isa_flags} (dispatcher selects ${selected_kernel})" >&2
+echo "host ISA: ${host_isa_flags}" >&2
 
 raw_json="$(mktemp)"
 trap 'rm -f "${raw_json}"' EXIT
@@ -114,8 +97,7 @@ with open(raw_path) as f:
 
 host = {
     "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
+    "selected_scan_kernel": raw.get("context", {}).get("scan_kernel"),
 }
 
 EXACT_BYTES = 20.0
@@ -193,7 +175,7 @@ result = {
     "benchmark": "BM_RefineScan / BM_CodedRefineScan",
     "description": ("seqscan refine sweep over 200000 records, "
                     "kRadiusFilter mode, records/sec per scan kernel; "
-                    "'quantized' covers the lvq8/lvq4 descriptor codecs "
+                    "'quantized' covers the lvq4 descriptor codec "
                     "through the fused decode+distance kernels (recall is "
                     "of the exact-codec match set, measured on the same "
                     "corpus and query); 'gather' is the graph-traversal "
@@ -254,8 +236,7 @@ with open(raw_path) as f:
 
 host = {
     "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
+    "selected_scan_kernel": raw.get("context", {}).get("scan_kernel"),
 }
 
 # Labels: "stat:table:d12" / "stat:reference:d12" / "range:d12".
@@ -323,8 +304,7 @@ with open(raw_path) as f:
 
 host = {
     "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
+    "selected_scan_kernel": raw.get("context", {}).get("scan_kernel"),
 }
 
 # Labels: "segment:<mode>" for the exact codec, "segment:<mode>:<codec>"
@@ -380,7 +360,7 @@ result = {
                     "mode (mmap vs resident copy); fraction_of_memory_sweep "
                     "compares against BM_RefineScan's in-memory corpus; "
                     "'quantized' covers segments written with the "
-                    "lvq8/lvq4 descriptor codecs, scanned through the "
+                    "lvq4 descriptor codec, scanned through the "
                     "fused decode kernels straight off the store"),
     "sweep_records": 200000,
     "host": host,
@@ -474,8 +454,7 @@ hedged_runs = [load_cmp("h1.json"), load_cmp("h2.json")]
 
 host = {
     "isa_flags": os.environ.get("S3VCD_BENCH_HOST_ISA", "").split(),
-    "selected_scan_kernel":
-        os.environ.get("S3VCD_BENCH_SELECTED_KERNEL", "unknown"),
+    "selected_scan_kernel": raw.get("scan_kernel"),
 }
 
 phases = raw.get("phases", [])
@@ -605,8 +584,8 @@ echo "Wrote ${service_json}"
 # Equal-recall ANN harness: the vamana graph backend against the exact S3
 # range query on the same 200k-record corpus, the beam width swept until
 # each target recall is matched. The binary writes the JSON itself (sweep
-# + operating points) and picks the host attribution up from the
-# S3VCD_BENCH_* environment exported above.
+# + operating points, its own dispatched kernel) and picks the host ISA
+# flags up from the S3VCD_BENCH_HOST_ISA environment exported above.
 if [[ ! -x "${build_dir}/bench/ann_equal_recall" ]]; then
   cmake --build "${build_dir}" --target ann_equal_recall -j"$(nproc)"
 fi
